@@ -9,17 +9,32 @@
 //
 // Usage:
 //
-//	arthas-torture [-seed N] [-points N] [-workers N] [-depth N]
+//	arthas-torture [-media [-imagedir DIR] | -repl] [-opt]
+//	               [-seed N] [-points N] [-workers N] [-depth N]
 //	               [-recover FN] [-probe "fn args"] [-torn=false]
-//	               [-replay seed.json] [-o report.json] [-opt]
-//	               file.pml "init_; put 1 2; get 1"
+//	               [-o report.json] file.pml "init_; put 1 2; get 1"
+//	arthas-torture -replay seed.json [-o result.json] file.pml
 //
-// Output is a JSON report that is byte-identical for a given -seed, across
-// runs and across -workers values. The process exits nonzero when any
-// trial ends in an invariant violation.
+// -media and -repl swap the fault model; everything else is the same
+// engine (docs/TORTURE.md, "Engine"): the same event enumeration, seeded
+// sampling to -points, trial driver, worker pool and report path. Every
+// sweep writes one JSON report that is byte-identical for a given -seed,
+// across runs and across -workers values, prints its outcome counts to
+// stderr, and exits nonzero when any trial ends in an invariant violation.
 //
-// -replay runs a single saved seed (the testdata/torture format) instead
-// of a sweep — the regression path for shrunk schedules.
+// -media corrupts the durable image at each durability event instead of
+// crashing there (bit flips, stuck words, stray writes, block poison —
+// docs/MEDIA_FAULTS.md) and verifies the scrubber heals it through both
+// the in-process scrub-then-retry path and the image reopen path.
+// -imagedir additionally saves each trial's still-corrupt image for
+// offline tooling (arthas-inspect scrub) and the CI media job.
+//
+// -repl runs the workload on a primary streaming its checkpoint log to a
+// standby replica (docs/REPLICATION.md) and kills the primary at every
+// durability event (torn tails included), cuts the stream mid-record at
+// every shipped sequence number, and kills the replica at every applied
+// one — each trial must converge back to word-identical primary and
+// replica durable images with zero residual lag.
 //
 // -opt first proves durability equivalence — every enumerated crash point
 // of the flush/fence-optimized build must recover to the identical durable
@@ -27,21 +42,8 @@
 // arthas-equiv/v1 report on any mismatch) — then runs the sweep on the
 // optimized program.
 //
-// -media switches to the media-fault sweep: instead of crashing at each
-// durability event, the harness corrupts the durable image there (bit
-// flips, stuck words, stray writes, block poison — docs/MEDIA_FAULTS.md)
-// and verifies the scrubber heals it through both the in-process
-// scrub-then-retry path and the image reopen path. -imagedir additionally
-// saves each trial's still-corrupt image for offline tooling
-// (arthas-inspect scrub) and the CI media job.
-//
-// -repl switches to the replication sweep (docs/REPLICATION.md): the
-// workload runs on a primary streaming its checkpoint log to a standby
-// replica, and the harness kills the primary at every durability event
-// (torn tails included), cuts the stream mid-record at every shipped
-// sequence number, and kills the replica at every applied one — each trial
-// must converge back to word-identical primary and replica durable images
-// with zero residual lag.
+// -replay runs a single saved seed (the testdata/torture format) instead
+// of a sweep — the regression path for shrunk crash schedules.
 package main
 
 import (
@@ -82,31 +84,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *media {
-		os.Exit(runMedia(torture.Config{
-			Name:      flag.Arg(0),
-			Source:    string(src),
-			Script:    flag.Arg(1),
-			RecoverFn: *recoverFn,
-			Probe:     *probe,
-			Seed:      *seed,
-			Points:    *points,
-			Workers:   *workers,
-		}, *imageDir, *out))
-	}
-	if *replMode {
-		os.Exit(runRepl(torture.Config{
-			Name:      flag.Arg(0),
-			Source:    string(src),
-			Script:    flag.Arg(1),
-			RecoverFn: *recoverFn,
-			Probe:     *probe,
-			Seed:      *seed,
-			Points:    *points,
-			Workers:   *workers,
-			Torn:      *torn,
-		}, *out))
-	}
 	cfg := torture.Config{
 		Name:      flag.Arg(0),
 		Source:    string(src),
@@ -118,7 +95,6 @@ func main() {
 		Workers:   *workers,
 		Depth:     *depth,
 		Torn:      *torn,
-		Shrink:    true,
 		Optimize:  *optimize,
 	}
 	if *optimize {
@@ -138,7 +114,15 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	rep, err := torture.Run(cfg)
+
+	sweep := func() (report, error) { return torture.Run(cfg) }
+	switch {
+	case *media:
+		sweep = func() (report, error) { return torture.RunMedia(cfg, *imageDir) }
+	case *replMode:
+		sweep = func() (report, error) { return torture.RunRepl(cfg) }
+	}
+	rep, err := sweep()
 	if err != nil {
 		fatal(err)
 	}
@@ -147,48 +131,21 @@ func main() {
 		fatal(err)
 	}
 	emit(js, *out)
+	// Every sweep report carries the same counts; the summary reads them
+	// back from the JSON it just wrote.
+	var sum struct{ Events, Trials, Clean, Healed, Violated int }
+	if err := json.Unmarshal(js, &sum); err != nil {
+		fatal(err)
+	}
 	fmt.Fprintf(os.Stderr, "%s: %d events, %d trials: %d clean, %d healed, %d violated\n",
-		flag.Arg(0), rep.Events, rep.Trials, rep.Clean, rep.Healed, rep.Violated)
-	if rep.Violated > 0 {
+		flag.Arg(0), sum.Events, sum.Trials, sum.Clean, sum.Healed, sum.Violated)
+	if sum.Violated > 0 {
 		os.Exit(1)
 	}
 }
 
-func runMedia(cfg torture.Config, imageDir, out string) int {
-	rep, err := torture.RunMedia(cfg, imageDir)
-	if err != nil {
-		fatal(err)
-	}
-	js, err := rep.JSON()
-	if err != nil {
-		fatal(err)
-	}
-	emit(js, out)
-	fmt.Fprintf(os.Stderr, "%s: media sweep: %d events, %d trials: %d clean, %d healed, %d violated\n",
-		cfg.Name, rep.Events, rep.Trials, rep.Clean, rep.Healed, rep.Violated)
-	if rep.Violated > 0 {
-		return 1
-	}
-	return 0
-}
-
-func runRepl(cfg torture.Config, out string) int {
-	rep, err := torture.RunRepl(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	js, err := rep.JSON()
-	if err != nil {
-		fatal(err)
-	}
-	emit(js, out)
-	fmt.Fprintf(os.Stderr, "%s: repl sweep: %d events, %d records, %d trials: %d clean, %d healed, %d violated\n",
-		cfg.Name, rep.Events, rep.Records, rep.Trials, rep.Clean, rep.Healed, rep.Violated)
-	if rep.Violated > 0 {
-		return 1
-	}
-	return 0
-}
+// report is what every sweep returns.
+type report interface{ JSON() ([]byte, error) }
 
 func runReplay(pmlPath, seedPath, out string) int {
 	src, err := os.ReadFile(pmlPath)
@@ -231,10 +188,8 @@ func emit(js []byte, out string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: arthas-torture [-seed N] [-points N] [-workers N] [-depth N] [-recover FN] [-probe "fn args"] [-torn=false] [-o report.json] [-opt] file.pml "init_; put 1 2; get 1"
-       arthas-torture -media [-imagedir DIR] [common flags] file.pml "script"
-       arthas-torture -repl [common flags] file.pml "script"
-       arthas-torture -replay seed.json file.pml`)
+	fmt.Fprintln(os.Stderr, `usage: arthas-torture [-media [-imagedir DIR] | -repl] [-opt] [-seed N] [-points N] [-workers N] [-depth N] [-recover FN] [-probe "fn args"] [-torn=false] [-o report.json] file.pml "init_; put 1 2; get 1"
+       arthas-torture -replay seed.json [-o result.json] file.pml`)
 	os.Exit(2)
 }
 

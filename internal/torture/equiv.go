@@ -8,7 +8,6 @@ import (
 
 	"arthas"
 	"arthas/internal/opt"
-	"arthas/internal/pmem"
 )
 
 // Durability-equivalence sweep: the torture-grade proof obligation of the
@@ -77,11 +76,13 @@ func (r *EquivReport) JSON() ([]byte, error) {
 // forced to zero so pool images carry no telemetry tail and compare by
 // durable content alone.
 func RunEquivalence(cfg Config) (*EquivReport, error) {
-	cfg = cfg.withDefaults()
-	calls, err := ParseScript(cfg.Script)
+	cfg, calls, _, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
+	optCfg, baseCfg := arthasConfig(cfg), arthasConfig(cfg)
+	optCfg.FlightEvents, optCfg.Optimize = 0, true
+	baseCfg.FlightEvents, baseCfg.Optimize = 0, false
 
 	rep := &EquivReport{
 		Schema:  EquivSchemaVersion,
@@ -90,22 +91,17 @@ func RunEquivalence(cfg Config) (*EquivReport, error) {
 		Seed:    cfg.Seed,
 	}
 
-	// Static stats: what the pass does to this module.
-	inst, err := arthas.New(cfg.Name, cfg.Source, eqConfig(cfg, true))
-	if err != nil {
-		return nil, fmt.Errorf("torture: optimized deploy: %w", err)
-	}
-	rep.OptStats = inst.OptStats
-
-	// Dynamic event universes for both builds.
-	optEvents, err := eqEnumerate(cfg, calls, true)
+	// Dynamic event universes for both builds; the runs' end states are
+	// the crash-free comparison.
+	optEvents, optFinal, err := enumerate(cfg, optCfg, calls)
 	if err != nil {
 		return nil, fmt.Errorf("torture: optimized baseline run: %w", err)
 	}
-	baseEvents, err := eqEnumerate(cfg, calls, false)
+	baseEvents, baseFinal, err := enumerate(cfg, baseCfg, calls)
 	if err != nil {
 		return nil, fmt.Errorf("torture: unoptimized baseline run: %w", err)
 	}
+	rep.OptStats = optFinal.OptStats // what the pass did to this module
 	rep.EventsOptimized = len(optEvents)
 	rep.EventsBaseline = len(baseEvents)
 
@@ -118,7 +114,7 @@ func RunEquivalence(cfg Config) (*EquivReport, error) {
 
 	for i, sched := range schedules {
 		spec := sched[0]
-		image, fired, err := crashImage(cfg, calls, spec)
+		image, fired, err := crashImage(cfg, optCfg, calls, spec)
 		if err != nil {
 			rep.Mismatches = append(rep.Mismatches, EquivMismatch{
 				Trial: i, Event: spec.Event, Keep: spec.Keep,
@@ -130,8 +126,8 @@ func RunEquivalence(cfg Config) (*EquivReport, error) {
 			rep.Skipped++
 			continue
 		}
-		optPool, optErr := recoverImage(cfg, true, image)
-		basePool, baseErr := recoverImage(cfg, false, image)
+		optPool, optErr := recoverImage(cfg, optCfg, image)
+		basePool, baseErr := recoverImage(cfg, baseCfg, image)
 		switch {
 		case optErr != nil || baseErr != nil:
 			rep.Mismatches = append(rep.Mismatches, EquivMismatch{
@@ -149,68 +145,21 @@ func RunEquivalence(cfg Config) (*EquivReport, error) {
 		}
 	}
 
-	// Crash-free check: both builds run the workload to completion and the
+	// Crash-free check: both builds ran the workload to completion and the
 	// durable images must agree word for word.
-	optFinal, err1 := finalPool(cfg, calls, true)
-	baseFinal, err2 := finalPool(cfg, calls, false)
-	rep.FinalMatch = err1 == nil && err2 == nil && slices.Equal(optFinal, baseFinal)
-
+	rep.FinalMatch = slices.Equal(optFinal.Pool.DurableImage(), baseFinal.Pool.DurableImage())
 	return rep, nil
-}
-
-// eqConfig builds the per-stack instance configuration. FlightEvents stays
-// zero: the flight recorder embeds telemetry in saved pools, which would
-// make byte comparison reflect observation history instead of durability.
-func eqConfig(cfg Config, optimize bool) arthas.Config {
-	return arthas.Config{
-		PoolWords:   cfg.PoolWords,
-		MaxVersions: cfg.MaxVersions,
-		StepLimit:   cfg.StepLimit,
-		RecoverFn:   cfg.RecoverFn,
-		Optimize:    optimize,
-	}
-}
-
-// eqEnumerate counts durability events in one uninjected run of one build.
-func eqEnumerate(cfg Config, calls []Call, optimize bool) ([]EventInfo, error) {
-	inst, err := arthas.New(cfg.Name, cfg.Source, eqConfig(cfg, optimize))
-	if err != nil {
-		return nil, err
-	}
-	var events []EventInfo
-	inst.Pool.SetCrashFunc(func(ev pmem.DurEvent) (int, bool) {
-		events = append(events, EventInfo{Kind: ev.Kind.String(), Addr: ev.Addr, Words: ev.Words})
-		return ev.Words, false
-	})
-	for _, c := range calls {
-		if _, trap := inst.Call(c.Fn, c.Args...); trap != nil {
-			return nil, fmt.Errorf("call %q trapped with no injection: %v", c, trap)
-		}
-	}
-	return events, nil
 }
 
 // crashImage runs the optimized build until spec's event fires, latches the
 // power failure, and returns the serialized durable image. fired=false means
 // the workload completed without reaching the event.
-func crashImage(cfg Config, calls []Call, spec CrashSpec) ([]byte, bool, error) {
-	inst, err := arthas.New(cfg.Name, cfg.Source, eqConfig(cfg, true))
+func crashImage(cfg Config, optCfg arthas.Config, calls []Call, spec CrashSpec) ([]byte, bool, error) {
+	inst, err := arthas.New(cfg.Name, cfg.Source, optCfg)
 	if err != nil {
 		return nil, false, err
 	}
-	count := 0
-	inst.Pool.SetCrashFunc(func(ev pmem.DurEvent) (int, bool) {
-		i := count
-		count++
-		if i != spec.Event {
-			return ev.Words, false
-		}
-		keep := spec.Keep
-		if keep < 0 || keep > ev.Words {
-			keep = ev.Words
-		}
-		return keep, true
-	})
+	inst.Pool.SetCrashFunc(crashAt(spec, func(string) {}))
 	for _, c := range calls {
 		inst.Call(c.Fn, c.Args...)
 		if inst.Pool.CrashLatched() {
@@ -220,9 +169,7 @@ func crashImage(cfg Config, calls []Call, spec CrashSpec) ([]byte, bool, error) 
 	if !inst.Pool.CrashLatched() {
 		return nil, false, nil
 	}
-	inst.Pool.SetCrashFunc(nil)
-	inst.Pool.Crash()
-	inst.Pool.ResetCrashLatch()
+	powerFail(inst)
 	var buf bytes.Buffer
 	if err := inst.SaveImage(&buf); err != nil {
 		return nil, true, fmt.Errorf("save: %w", err)
@@ -233,29 +180,14 @@ func crashImage(cfg Config, calls []Call, spec CrashSpec) ([]byte, bool, error) 
 // recoverImage reopens one crash image under one build, runs recovery (with
 // detector → reactor healing if it traps), and returns the recovered
 // durable word image.
-func recoverImage(cfg Config, optimize bool, image []byte) ([]uint64, error) {
-	inst, err := arthas.OpenImage(cfg.Name, cfg.Source, eqConfig(cfg, optimize), bytes.NewReader(image))
+func recoverImage(cfg Config, acfg arthas.Config, image []byte) ([]uint64, error) {
+	inst, err := arthas.OpenImage(cfg.Name, cfg.Source, acfg, bytes.NewReader(image))
 	if err != nil {
 		return nil, fmt.Errorf("reopen: %w", err)
 	}
 	if trap := inst.Restart(); trap != nil {
 		if ok, _, v := heal(inst, trap, nil); !ok {
 			return nil, fmt.Errorf("recovery unhealed: %s", v)
-		}
-	}
-	return inst.Pool.DurableImage(), nil
-}
-
-// finalPool runs the full workload crash-free under one build and returns
-// the final durable word image.
-func finalPool(cfg Config, calls []Call, optimize bool) ([]uint64, error) {
-	inst, err := arthas.New(cfg.Name, cfg.Source, eqConfig(cfg, optimize))
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range calls {
-		if _, trap := inst.Call(c.Fn, c.Args...); trap != nil {
-			return nil, fmt.Errorf("call %q trapped: %v", c, trap)
 		}
 	}
 	return inst.Pool.DurableImage(), nil

@@ -6,9 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 
 	"arthas"
 	"arthas/internal/pmem"
@@ -33,25 +31,12 @@ type MediaSpec struct {
 	Bits  uint64 `json:"bits,omitempty"`
 	Value uint64 `json:"value,omitempty"`
 	Seed  int64  `json:"seed,omitempty"`
+
+	kind pmem.MediaFaultKind
 }
 
 func (s MediaSpec) String() string {
 	return fmt.Sprintf("e%d:%s+%d", s.Event, s.Kind, s.Word)
-}
-
-// mediaKindOf maps the spec's kind name to the pmem fault kind.
-func mediaKindOf(name string) (pmem.MediaFaultKind, error) {
-	switch name {
-	case pmem.MediaBitFlip.String():
-		return pmem.MediaBitFlip, nil
-	case pmem.MediaStuckWord.String():
-		return pmem.MediaStuckWord, nil
-	case pmem.MediaStrayWrite.String():
-		return pmem.MediaStrayWrite, nil
-	case pmem.MediaBlockPoison.String():
-		return pmem.MediaBlockPoison, nil
-	}
-	return 0, fmt.Errorf("torture: unknown media fault kind %q", name)
 }
 
 // MediaTrialResult is the outcome of one media-fault schedule.
@@ -73,15 +58,13 @@ type MediaTrialResult struct {
 
 // MediaReport is the full deterministic output of a media sweep.
 type MediaReport struct {
-	Program  string             `json:"program"`
-	Script   string             `json:"script"`
-	Seed     int64              `json:"seed"`
-	Events   int                `json:"events"`
-	Trials   int                `json:"trials"`
-	Clean    int                `json:"clean"`
-	Healed   int                `json:"healed"`
-	Violated int                `json:"violated"`
-	Results  []MediaTrialResult `json:"results"`
+	Program string `json:"program"`
+	Script  string `json:"script"`
+	Seed    int64  `json:"seed"`
+	Events  int    `json:"events"`
+	Trials  int    `json:"trials"`
+	tally
+	Results []MediaTrialResult `json:"results"`
 }
 
 // JSON renders the report byte-identically for a given seed.
@@ -96,23 +79,11 @@ func (r *MediaReport) JSON() ([]byte, error) {
 // image is saved there as <name>-media-NNN.img for offline tooling
 // (arthas-inspect scrub) and the CI media job.
 func RunMedia(cfg Config, imageDir string) (*MediaReport, error) {
-	cfg = cfg.withDefaults()
-	calls, err := ParseScript(cfg.Script)
+	cfg, calls, probe, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var probe *Call
-	if cfg.Probe != "" {
-		pc, err := ParseScript(cfg.Probe)
-		if err != nil {
-			return nil, err
-		}
-		if len(pc) != 1 {
-			return nil, fmt.Errorf("torture: probe must be a single call, got %d", len(pc))
-		}
-		probe = &pc[0]
-	}
-	events, err := enumerate(cfg, calls)
+	events, _, err := enumerate(cfg, arthasConfig(cfg), calls)
 	if err != nil {
 		return nil, fmt.Errorf("torture: baseline run: %w", err)
 	}
@@ -122,7 +93,6 @@ func RunMedia(cfg Config, imageDir string) (*MediaReport, error) {
 			return nil, fmt.Errorf("torture: image dir: %w", err)
 		}
 	}
-
 	rep := &MediaReport{
 		Program: cfg.Name,
 		Script:  cfg.Script,
@@ -131,39 +101,11 @@ func RunMedia(cfg Config, imageDir string) (*MediaReport, error) {
 		Trials:  len(specs),
 		Results: make([]MediaTrialResult, len(specs)),
 	}
-	runOne := func(i int) {
-		res := runMediaTrial(cfg, calls, probe, specs[i], i, imageDir)
-		res.Trial = i
-		rep.Results[i] = res
-	}
-	if cfg.Workers > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, cfg.Workers)
-		for i := range specs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				runOne(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range specs {
-			runOne(i)
-		}
-	}
-	for _, res := range rep.Results {
-		switch res.Outcome {
-		case "clean":
-			rep.Clean++
-		case "healed":
-			rep.Healed++
-		default:
-			rep.Violated++
-		}
-	}
+	rep.tally = runTrials(len(specs), cfg.Workers, func(i int) string {
+		rep.Results[i] = runMediaTrial(cfg, calls, probe, specs[i], i, imageDir)
+		rep.Results[i].Trial = i
+		return rep.Results[i].Outcome
+	})
 	return rep, nil
 }
 
@@ -180,7 +122,7 @@ func buildMediaSchedules(cfg Config, events []EventInfo) []MediaSpec {
 	specs := make([]MediaSpec, 0, len(events))
 	for i, ev := range events {
 		k := kinds[i%len(kinds)]
-		sp := MediaSpec{Event: i, Kind: k.String()}
+		sp := MediaSpec{Event: i, Kind: k.String(), kind: k}
 		if ev.Words > 1 {
 			sp.Word = rng.Intn(ev.Words)
 		}
@@ -194,16 +136,7 @@ func buildMediaSchedules(cfg Config, events []EventInfo) []MediaSpec {
 		}
 		specs = append(specs, sp)
 	}
-	if cfg.Points > 0 && len(specs) > cfg.Points {
-		idx := rng.Perm(len(specs))[:cfg.Points]
-		sort.Ints(idx)
-		sampled := make([]MediaSpec, 0, cfg.Points)
-		for _, i := range idx {
-			sampled = append(sampled, specs[i])
-		}
-		specs = sampled
-	}
-	return specs
+	return sample(rng, specs, cfg.Points)
 }
 
 // runMediaTrial runs one media-fault schedule in a fresh deployment. The
@@ -213,148 +146,98 @@ func buildMediaSchedules(cfg Config, events []EventInfo) []MediaSpec {
 // reactor's scrub-then-retry); whatever corruption the workload never
 // touched is then healed by the reopen path, and the final state must pass
 // every structural and media invariant.
-func runMediaTrial(cfg Config, calls []Call, probe *Call, spec MediaSpec, trial int, imageDir string) MediaTrialResult {
-	res := MediaTrialResult{Spec: spec, Outcome: "clean"}
-	var violations []string
-	healedAny := false
-
-	kind, err := mediaKindOf(spec.Kind)
-	if err != nil {
-		res.Outcome = "violated"
-		res.Violations = []string{err.Error()}
-		return res
-	}
-	inst, err := arthas.New(cfg.Name, cfg.Source, arthasConfig(cfg))
-	if err != nil {
-		res.Outcome = "violated"
-		res.Violations = []string{"deploy-failed: " + err.Error()}
-		return res
-	}
+func runMediaTrial(cfg Config, calls []Call, probe *Call, spec MediaSpec, index int, imageDir string) MediaTrialResult {
+	res := MediaTrialResult{Spec: spec}
+	t := &trial{cfg: cfg, acfg: arthasConfig(cfg), calls: calls, probe: probe}
 
 	// Counting hook: never crashes, only spots the target event and records
-	// where its range landed.
+	// where its range landed; the fault goes in once that call completes.
 	var target uint64
-	pending := false
-	count := 0
-	inst.Pool.SetCrashFunc(func(ev pmem.DurEvent) (int, bool) {
-		if count == spec.Event {
-			off := 0
-			if ev.Words > 0 {
-				off = spec.Word % ev.Words
+	pending, injected := false, false
+	t.arm = func(int) pmem.CrashFunc {
+		return counting(func(i int, ev pmem.DurEvent) (int, bool) {
+			if i == spec.Event {
+				off := 0
+				if ev.Words > 0 {
+					off = spec.Word % ev.Words
+				}
+				target = ev.Addr + uint64(off)
+				pending = true
 			}
-			target = ev.Addr + uint64(off)
-			pending = true
-		}
-		count++
-		return ev.Words, false
-	})
-
-	injected := false
-	for ci := 0; ci < len(calls); ci++ {
-		c := calls[ci]
-		_, trap := inst.Call(c.Fn, c.Args...)
-		if trap != nil {
-			ok, mrep, v := heal(inst, trap, &c)
-			if mrep != nil {
-				res.MitigationAttempts += mrep.Attempts
-				res.ScrubRepairs += mrep.ScrubRepairs
-			}
-			if !ok {
-				violations = append(violations, v)
-				return finishMedia(res, violations, healedAny)
-			}
-			healedAny = true
-		}
-		if pending && !injected {
-			f := pmem.MediaFault{
-				Kind: kind, Addr: target,
-				Bits: spec.Bits, Value: spec.Value, Seed: spec.Seed,
-			}
-			r, err := inst.Pool.InjectMediaFault(f)
-			if err != nil {
-				violations = append(violations, "inject-failed: "+err.Error())
-				return finishMedia(res, violations, healedAny)
-			}
-			injected = true
-			res.Inject = fmt.Sprintf("%s@%#x+%d", spec.Kind, r.Addr, r.Words)
-			if imageDir != "" {
-				saveTrialImage(inst, imageDir, cfg.Name, trial, &violations)
-			}
-		}
+			return ev.Words, false
+		})
 	}
-
-	if probe != nil {
-		if _, trap := inst.Call(probe.Fn, probe.Args...); trap != nil {
-			ok, mrep, v := heal(inst, trap, probe)
-			if mrep != nil {
-				res.MitigationAttempts += mrep.Attempts
-				res.ScrubRepairs += mrep.ScrubRepairs
-			}
-			if !ok {
-				violations = append(violations, v)
-				return finishMedia(res, violations, healedAny)
-			}
-			healedAny = true
+	t.afterCall = func() string {
+		if !pending || injected {
+			return ""
 		}
+		r, err := t.inst.Pool.InjectMediaFault(pmem.MediaFault{
+			Kind: spec.kind, Addr: target,
+			Bits: spec.Bits, Value: spec.Value, Seed: spec.Seed,
+		})
+		if err != nil {
+			return "inject-failed: " + err.Error()
+		}
+		injected = true
+		res.Inject = fmt.Sprintf("%s@%#x+%d", spec.Kind, r.Addr, r.Words)
+		if imageDir != "" {
+			t.violations = append(t.violations, saveTrialImage(t.inst, imageDir, cfg.Name, index)...)
+		}
+		return ""
 	}
 
 	// The reopen path: whatever corruption the workload never read travels
 	// in the image and must be healed (or fenced) by OpenImage's scrubber.
-	final, vs := reopen(cfg, inst)
-	violations = append(violations, vs...)
-	if final == nil {
-		return finishMedia(res, violations, healedAny)
+	if t.deploy() && t.run() {
+		if final := t.reopen(); final != nil {
+			mediaVerdict(t, final, &res)
+		}
 	}
+	res.Outcome, res.Violations = t.finish()
+	res.ScrubRepairs, res.MitigationAttempts = t.scrubs, t.attempts
+	return res
+}
+
+// mediaVerdict judges the reopened final state: the open-time scrub must
+// leave a healthy pool, the media and structural invariants must hold, and
+// the probe must still answer.
+func mediaVerdict(t *trial, final *arthas.Instance, res *MediaTrialResult) {
 	if final.LastScrub != nil {
 		res.OpenHealed = true
 		res.Quarantined = final.LastScrub.Quarantined
 		if !final.LastScrub.Healthy() {
-			violations = append(violations, "open-scrub-unhealthy: "+final.LastScrub.String())
+			t.violations = append(t.violations, "open-scrub-unhealthy: "+final.LastScrub.String())
 		}
-		healedAny = true
+		t.healed = true
 	}
 	if merr := final.Pool.VerifyMedia(); merr != nil {
-		violations = append(violations, "media-unclean: "+merr.Error())
+		t.violations = append(t.violations, "media-unclean: "+merr.Error())
 	}
-	violations = append(violations, checkState(cfg, final)...)
-	if probe != nil && len(violations) == 0 {
-		if _, trap := final.Call(probe.Fn, probe.Args...); trap != nil {
+	t.check(final)
+	if t.probe != nil && len(t.violations) == 0 {
+		if _, trap := final.Call(t.probe.Fn, t.probe.Args...); trap != nil {
 			// Reads of quarantined (unreconstructible) data may still trap —
 			// that is data loss the log could not prevent, not a violation —
 			// but only when something was actually fenced off.
 			if res.Quarantined == 0 {
-				violations = append(violations, "probe-after-reopen: "+trap.Error())
+				t.violations = append(t.violations, "probe-after-reopen: "+trap.Error())
 			}
 		}
 	}
-	return finishMedia(res, violations, healedAny)
 }
 
 // saveTrialImage writes the still-corrupt image snapshot for offline repair
 // tooling. Write failures are violations: the CI job depends on the corpus.
-func saveTrialImage(inst *arthas.Instance, dir, name string, trial int, violations *[]string) {
+func saveTrialImage(inst *arthas.Instance, dir, name string, trial int) []string {
 	base := strings.TrimSuffix(filepath.Base(name), filepath.Ext(name))
 	path := filepath.Join(dir, fmt.Sprintf("%s-media-%03d.img", base, trial))
 	f, err := os.Create(path)
 	if err != nil {
-		*violations = append(*violations, "image-save-failed: "+err.Error())
-		return
+		return []string{"image-save-failed: " + err.Error()}
 	}
 	defer f.Close()
 	if err := inst.SaveImage(f); err != nil {
-		*violations = append(*violations, "image-save-failed: "+err.Error())
+		return []string{"image-save-failed: " + err.Error()}
 	}
-}
-
-func finishMedia(res MediaTrialResult, violations []string, healed bool) MediaTrialResult {
-	res.Violations = sortedViolations(violations)
-	switch {
-	case len(res.Violations) > 0:
-		res.Outcome = "violated"
-	case healed:
-		res.Outcome = "healed"
-	default:
-		res.Outcome = "clean"
-	}
-	return res
+	return nil
 }

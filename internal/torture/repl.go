@@ -1,12 +1,10 @@
 package torture
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
+	"strings"
 
 	"arthas"
 	"arthas/internal/checkpoint"
@@ -83,13 +81,11 @@ type ReplReport struct {
 	Seed    int64  `json:"seed"`
 	// Events is the durability-event count of the fault-free workload;
 	// Records the stream records one fault-free replication run ships.
-	Events   int               `json:"events"`
-	Records  uint64            `json:"records"`
-	Trials   int               `json:"trials"`
-	Clean    int               `json:"clean"`
-	Healed   int               `json:"healed"`
-	Violated int               `json:"violated"`
-	Results  []ReplTrialResult `json:"results"`
+	Events  int    `json:"events"`
+	Records uint64 `json:"records"`
+	Trials  int    `json:"trials"`
+	tally
+	Results []ReplTrialResult `json:"results"`
 }
 
 // JSON renders the report byte-identically for a given seed.
@@ -102,23 +98,11 @@ func (r *ReplReport) JSON() ([]byte, error) {
 // records, derive one failure spec per event for each victim kind, and run
 // each as an independent trial asserting word-identical convergence.
 func RunRepl(cfg Config) (*ReplReport, error) {
-	cfg = cfg.withDefaults()
-	calls, err := ParseScript(cfg.Script)
+	cfg, calls, probe, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var probe *Call
-	if cfg.Probe != "" {
-		pc, err := ParseScript(cfg.Probe)
-		if err != nil {
-			return nil, err
-		}
-		if len(pc) != 1 {
-			return nil, fmt.Errorf("torture: probe must be a single call, got %d", len(pc))
-		}
-		probe = &pc[0]
-	}
-	events, err := enumerate(cfg, calls)
+	events, _, err := enumerate(cfg, arthasConfig(cfg), calls)
 	if err != nil {
 		return nil, fmt.Errorf("torture: baseline run: %w", err)
 	}
@@ -127,7 +111,6 @@ func RunRepl(cfg Config) (*ReplReport, error) {
 		return nil, fmt.Errorf("torture: baseline replication: %w", err)
 	}
 	specs := buildReplSchedules(cfg, events, records)
-
 	rep := &ReplReport{
 		Program: cfg.Name,
 		Script:  cfg.Script,
@@ -137,39 +120,11 @@ func RunRepl(cfg Config) (*ReplReport, error) {
 		Trials:  len(specs),
 		Results: make([]ReplTrialResult, len(specs)),
 	}
-	runOne := func(i int) {
-		res := runReplTrial(cfg, calls, probe, specs[i])
-		res.Trial = i
-		rep.Results[i] = res
-	}
-	if cfg.Workers > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, cfg.Workers)
-		for i := range specs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				runOne(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range specs {
-			runOne(i)
-		}
-	}
-	for _, res := range rep.Results {
-		switch res.Outcome {
-		case "clean":
-			rep.Clean++
-		case "healed":
-			rep.Healed++
-		default:
-			rep.Violated++
-		}
-	}
+	rep.tally = runTrials(len(specs), cfg.Workers, func(i int) string {
+		rep.Results[i] = runReplTrial(cfg, calls, probe, specs[i])
+		rep.Results[i].Trial = i
+		return rep.Results[i].Outcome
+	})
 	return rep, nil
 }
 
@@ -179,22 +134,14 @@ func RunRepl(cfg Config) (*ReplReport, error) {
 // converges word-identically; a broken protocol fails fast here instead of
 // poisoning every trial.
 func baselineRecords(cfg Config, calls []Call) (uint64, error) {
-	rig, err := newReplRig(cfg)
-	if err != nil {
-		return 0, err
+	t, sess := replTrial(cfg, calls, nil)
+	if sess != nil && t.run() {
+		t.violations = replIdentity(t.inst, sess)
 	}
-	for _, c := range calls {
-		if _, trap := rig.cur.Call(c.Fn, c.Args...); trap != nil {
-			return 0, fmt.Errorf("workload call %q trapped with no injection: %v", c, trap)
-		}
-		if err := rig.sess.Ship(); err != nil {
-			return 0, err
-		}
+	if len(t.violations) > 0 {
+		return 0, fmt.Errorf("fault-free replication diverged: %s", strings.Join(t.violations, "; "))
 	}
-	if v := replIdentityViolation(rig); v != "" {
-		return 0, fmt.Errorf("fault-free replication diverged: %s", v)
-	}
-	return rig.sess.Status().Seq, nil
+	return sess.Status().Seq, nil
 }
 
 // buildReplSchedules derives the victim universe: every durability event as
@@ -218,275 +165,140 @@ func buildReplSchedules(cfg Config, events []EventInfo, records uint64) []ReplSp
 	for seq := uint64(1); seq <= records; seq++ {
 		specs = append(specs, ReplSpec{Victim: ReplVictimReplica, Seq: seq})
 	}
-	if cfg.Points > 0 && len(specs) > cfg.Points {
-		idx := rng.Perm(len(specs))[:cfg.Points]
-		sort.Ints(idx)
-		sampled := make([]ReplSpec, 0, cfg.Points)
-		for _, i := range idx {
-			sampled = append(sampled, specs[i])
-		}
-		specs = sampled
-	}
-	return specs
+	return sample(rng, specs, cfg.Points)
 }
 
-// replRig is one primary + shipper + session under test. cur tracks the
-// CURRENT primary instance across crash reopens, so the session's snapshot
-// source always reads the live pool and log.
-type replRig struct {
-	cur  *arthas.Instance
-	sh   *repl.Shipper
-	sess *repl.Session
-}
-
-func newReplRig(cfg Config) (*replRig, error) {
-	r := &replRig{sh: repl.NewShipper()}
-	acfg := arthasConfig(cfg)
-	acfg.WrapHooks = r.sh.WrapHooks
-	inst, err := arthas.New(cfg.Name, cfg.Source, acfg)
-	if err != nil {
-		return nil, err
+// replTrial deploys a primary whose checkpoint log streams to a standby
+// replica. The session ships after every workload call (the tightest lag
+// bound), is marked dirty whenever durable state changed behind the
+// stream's back — mitigation reverts raw pool words, and a torn crash
+// throws away writes the stream already recorded — and always snapshots
+// the trial's live instance, across crash reopens. sess is nil when the
+// rig could not be deployed (the violation is recorded).
+func replTrial(cfg Config, calls []Call, probe *Call) (*trial, *repl.Session) {
+	sh := repl.NewShipper()
+	t := &trial{cfg: cfg, acfg: arthasConfig(cfg), calls: calls, probe: probe}
+	t.acfg.WrapHooks = sh.WrapHooks
+	t.arm = func(int) pmem.CrashFunc { return nil }
+	if !t.deploy() {
+		return t, nil
 	}
-	r.cur = inst
-	r.sess = repl.NewSession(r.sh, uint64(cfg.Seed)|1, func() (*pmem.Pool, *checkpoint.Log) {
-		return r.cur.Pool, r.cur.Log
+	sess := repl.NewSession(sh, uint64(cfg.Seed)|1, func() (*pmem.Pool, *checkpoint.Log) {
+		return t.inst.Pool, t.inst.Log
 	})
-	return r, r.sess.Ship()
+	if err := sess.Ship(); err != nil {
+		t.violations = append(t.violations, "deploy-failed: "+err.Error())
+		return t, nil
+	}
+	t.dirty = sess.MarkDirty
+	t.afterCall = func() string {
+		if err := sess.Ship(); err != nil {
+			return "ship-failed: " + err.Error()
+		}
+		return ""
+	}
+	return t, sess
 }
 
-// replIdentityViolation ships any residue and compares the primary's and
-// replica's durable images word by word — the sweep's convergence oracle.
-func replIdentityViolation(rig *replRig) string {
-	if err := rig.sess.Ship(); err != nil {
-		return "final-ship-failed: " + err.Error()
+// replIdentity ships any residue and compares the primary's and replica's
+// durable images word by word — the sweep's convergence oracle.
+func replIdentity(primary *arthas.Instance, sess *repl.Session) []string {
+	if err := sess.Ship(); err != nil {
+		return []string{"final-ship-failed: " + err.Error()}
 	}
-	if lag := rig.sess.Lag(); lag != 0 {
-		return fmt.Sprintf("residual-lag: %d records unacked after final ship", lag)
+	if lag := sess.Lag(); lag != 0 {
+		return []string{fmt.Sprintf("residual-lag: %d records unacked after final ship", lag)}
 	}
-	prim := rig.cur.Pool.DurableImage()
-	rep := rig.sess.ReplicaImage()
+	prim := primary.Pool.DurableImage()
+	rep := sess.ReplicaImage()
 	if rep == nil {
-		return "no-replica: session lost its replica"
+		return []string{"no-replica: session lost its replica"}
 	}
 	if len(prim) != len(rep) {
-		return fmt.Sprintf("image-size-mismatch: %d vs %d words", len(prim), len(rep))
+		return []string{fmt.Sprintf("image-size-mismatch: %d vs %d words", len(prim), len(rep))}
 	}
 	for i := range prim {
 		if prim[i] != rep[i] {
-			return fmt.Sprintf("word-divergence: addr %#x primary=%#x replica=%#x",
-				i, prim[i], rep[i])
+			return []string{fmt.Sprintf("word-divergence: addr %#x primary=%#x replica=%#x",
+				i, prim[i], rep[i])}
 		}
 	}
-	return ""
+	return nil
 }
 
-// runReplTrial runs one replication-failure schedule in a fresh rig. The
-// workload ships after every call (the tightest lag bound), the ordered
-// failure fires once, and the trial ends with the identity oracle: primary
-// and replica durable images word-identical, zero residual lag.
+// runReplTrial runs one replication-failure schedule in a fresh rig: the
+// ordered failure fires once, and the trial ends with the identity oracle —
+// primary and replica durable images word-identical, zero residual lag —
+// plus proof that the session noticed the failure it was dealt.
 func runReplTrial(cfg Config, calls []Call, probe *Call, spec ReplSpec) ReplTrialResult {
-	res := ReplTrialResult{Spec: spec, Outcome: "clean"}
-	var violations []string
-	healed := false
-
-	rig, err := newReplRig(cfg)
-	if err != nil {
-		res.Outcome = "violated"
-		res.Violations = []string{"deploy-failed: " + err.Error()}
-		return res
-	}
-
-	switch spec.Victim {
-	case ReplVictimStream:
-		// Tear the wire batch mid-record at the target seq, once. The
-		// session must keep the complete prefix, count a truncation, and
-		// re-ship the tail.
-		rig.sess.LinkFault = func(b []byte) []byte {
-			if res.Fired {
-				return b
-			}
-			ops, err := checkpoint.DecodeStream(b)
-			if err != nil {
-				return b
-			}
-			off := 0
-			for _, op := range ops {
-				l := op.EncodedLen()
-				if op.Seq == spec.Seq {
-					cut := spec.Cut % (l - 1)
-					if cut == 0 {
-						cut = 1
-					}
+	res := ReplTrialResult{Spec: spec}
+	t, sess := replTrial(cfg, calls, probe)
+	if sess != nil {
+		switch spec.Victim {
+		case ReplVictimPrimary:
+			t.arm = func(si int) pmem.CrashFunc {
+				if si > 0 {
+					return nil
+				}
+				return crashAt(CrashSpec{Event: spec.Event, Keep: spec.Keep}, func(c string) {
+					res.Crashes = append(res.Crashes, c)
 					res.Fired = true
-					return b[:off+cut]
+				})
+			}
+		case ReplVictimStream:
+			// Tear the wire batch mid-record at the target seq, once. The
+			// session must keep the complete prefix, count a truncation, and
+			// re-ship the tail.
+			sess.LinkFault = func(b []byte) []byte {
+				if res.Fired {
+					return b
 				}
-				off += l
-			}
-			return b
-		}
-	case ReplVictimReplica:
-		// Kill the replica as it applies the target seq, once. The session
-		// must drop it, back off, and resync from a fresh snapshot.
-		rig.sess.ReplicaFault = func(seq uint64) bool {
-			if !res.Fired && seq == spec.Seq {
-				res.Fired = true
-				return true
-			}
-			return false
-		}
-	}
-
-	armed := spec.Victim == ReplVictimPrimary
-	ci := 0
-	for {
-		if armed {
-			count := 0
-			rig.cur.Pool.SetCrashFunc(func(ev pmem.DurEvent) (int, bool) {
-				i := count
-				count++
-				if i != spec.Event {
-					return ev.Words, false
+				ops, err := checkpoint.DecodeStream(b)
+				if err != nil {
+					return b
 				}
-				keep := spec.Keep
-				if keep < 0 || keep > ev.Words {
-					keep = ev.Words
+				off := 0
+				for _, op := range ops {
+					l := op.EncodedLen()
+					if op.Seq == spec.Seq {
+						cut := spec.Cut % (l - 1)
+						if cut == 0 {
+							cut = 1
+						}
+						res.Fired = true
+						return b[:off+cut]
+					}
+					off += l
 				}
-				res.Crashes = append(res.Crashes,
-					fmt.Sprintf("%s@%#x+%d keep=%d", ev.Kind, ev.Addr, ev.Words, keep))
-				return keep, true
-			})
-		}
-
-		crashed := false
-		for ci < len(calls) {
-			c := calls[ci]
-			_, trap := rig.cur.Call(c.Fn, c.Args...)
-			if rig.cur.Pool.CrashLatched() {
-				crashed = true
-				res.Fired = true
-				break
+				return b
 			}
-			if trap != nil {
-				ok, mrep, v := heal(rig.cur, trap, &c)
-				if mrep != nil {
-					res.MitigationAttempts += mrep.Attempts
+		case ReplVictimReplica:
+			// Kill the replica as it applies the target seq, once. The
+			// session must drop it, back off, and resync from a fresh
+			// snapshot.
+			sess.ReplicaFault = func(seq uint64) bool {
+				if !res.Fired && seq == spec.Seq {
+					res.Fired = true
+					return true
 				}
-				if !ok {
-					violations = append(violations, v)
-					return finishRepl(res, rig, violations, healed)
-				}
-				// Mitigation reverts through raw pool writes the stream never
-				// saw: resync before trusting the stream again.
-				rig.sess.MarkDirty()
-				healed = true
-			}
-			ci++
-			if err := rig.sess.Ship(); err != nil {
-				violations = append(violations, "ship-failed: "+err.Error())
-				return finishRepl(res, rig, violations, healed)
+				return false
 			}
 		}
-		if !crashed {
-			break
-		}
-
-		// Power failure on the primary: volatile state dies, the (possibly
-		// torn) durable image is what the next process sees. The stream's
-		// recorded tail may describe writes the tear threw away, so the
-		// session is dirty until it resyncs from the recovered primary.
-		armed = false
-		rig.cur.Pool.SetCrashFunc(nil)
-		rig.cur.Pool.Crash()
-		rig.cur.Pool.ResetCrashLatch()
-
-		acfg := arthasConfig(cfg)
-		acfg.WrapHooks = rig.sh.WrapHooks
-		next, vs := reopenWith(cfg, acfg, rig.cur)
-		violations = append(violations, vs...)
-		if next == nil {
-			return finishRepl(res, rig, violations, healed)
-		}
-		rig.cur = next
-		rig.sess.MarkDirty()
-
-		if trap := rig.cur.Restart(); trap != nil {
-			ok, mrep, v := heal(rig.cur, trap, probe)
-			if mrep != nil {
-				res.MitigationAttempts += mrep.Attempts
+		if t.run() {
+			t.violations = append(t.violations, replIdentity(t.inst, sess)...)
+			st := sess.Status()
+			if spec.Victim == ReplVictimStream && res.Fired && st.Truncations == 0 {
+				t.violations = append(t.violations, "cut-unnoticed: stream tear produced no truncation")
 			}
-			if !ok {
-				violations = append(violations, v)
-				return finishRepl(res, rig, violations, healed)
+			if spec.Victim == ReplVictimReplica && res.Fired && st.Drops == 0 {
+				t.violations = append(t.violations, "kill-unnoticed: replica death produced no drop")
 			}
-			healed = true
+			t.check(t.inst)
 		}
-		violations = append(violations, checkState(cfg, rig.cur)...)
-		if len(violations) > 0 {
-			return finishRepl(res, rig, violations, healed)
-		}
+		st := sess.Status()
+		res.Truncations, res.Drops, res.Resyncs, res.Records = st.Truncations, st.Drops, st.Resyncs, st.Records
 	}
-
-	if probe != nil {
-		if _, trap := rig.cur.Call(probe.Fn, probe.Args...); trap != nil {
-			ok, mrep, v := heal(rig.cur, trap, probe)
-			if mrep != nil {
-				res.MitigationAttempts += mrep.Attempts
-			}
-			if !ok {
-				violations = append(violations, v)
-				return finishRepl(res, rig, violations, healed)
-			}
-			rig.sess.MarkDirty()
-			healed = true
-		}
-	}
-
-	if v := replIdentityViolation(rig); v != "" {
-		violations = append(violations, v)
-	}
-	st := rig.sess.Status()
-	switch spec.Victim {
-	case ReplVictimStream:
-		if res.Fired && st.Truncations == 0 {
-			violations = append(violations, "cut-unnoticed: stream tear produced no truncation")
-		}
-	case ReplVictimReplica:
-		if res.Fired && st.Drops == 0 {
-			violations = append(violations, "kill-unnoticed: replica death produced no drop")
-		}
-	}
-	violations = append(violations, checkState(cfg, rig.cur)...)
-	return finishRepl(res, rig, violations, healed)
-}
-
-// reopenWith is reopen with an explicit instance config, so crash reopens
-// keep the replication hooks wired into the same shipper.
-func reopenWith(cfg Config, acfg arthas.Config, inst *arthas.Instance) (*arthas.Instance, []string) {
-	var buf bytes.Buffer
-	if err := inst.SaveImage(&buf); err != nil {
-		return nil, []string{"save-failed: " + err.Error()}
-	}
-	next, err := arthas.OpenImage(inst.Name, cfg.Source, acfg, &buf)
-	if err != nil {
-		return nil, []string{"reopen-failed: " + err.Error()}
-	}
-	return next, nil
-}
-
-func finishRepl(res ReplTrialResult, rig *replRig, violations []string, healed bool) ReplTrialResult {
-	st := rig.sess.Status()
-	res.Truncations = st.Truncations
-	res.Drops = st.Drops
-	res.Resyncs = st.Resyncs
-	res.Records = st.Records
-	res.Violations = sortedViolations(violations)
-	switch {
-	case len(res.Violations) > 0:
-		res.Outcome = "violated"
-	case healed:
-		res.Outcome = "healed"
-	default:
-		res.Outcome = "clean"
-	}
+	res.Outcome, res.Violations = t.finish()
+	res.MitigationAttempts = t.attempts
 	return res
 }

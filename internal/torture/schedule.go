@@ -3,10 +3,7 @@ package torture
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-
-	"arthas"
-	"arthas/internal/pmem"
+	"slices"
 )
 
 // CrashSpec orders one injected crash: at the Event'th durability event of
@@ -34,26 +31,6 @@ func (s Schedule) String() string {
 	return out
 }
 
-// enumerate runs the workload once uninjected with a counting hook and
-// returns every durability event in order — the crash-point universe.
-func enumerate(cfg Config, calls []Call) ([]EventInfo, error) {
-	inst, err := arthas.New(cfg.Name, cfg.Source, arthasConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	var events []EventInfo
-	inst.Pool.SetCrashFunc(func(ev pmem.DurEvent) (int, bool) {
-		events = append(events, EventInfo{Kind: ev.Kind.String(), Addr: ev.Addr, Words: ev.Words})
-		return ev.Words, false
-	})
-	for _, c := range calls {
-		if _, trap := inst.Call(c.Fn, c.Args...); trap != nil {
-			return nil, fmt.Errorf("workload call %q trapped with no injection: %v", c, trap)
-		}
-	}
-	return events, nil
-}
-
 // buildSchedules expands the event universe into crash schedules:
 //
 //   - every event gets a keep=0 ("nothing landed") and keep=-1 ("all landed,
@@ -75,7 +52,8 @@ func buildSchedules(cfg Config, events []EventInfo) []Schedule {
 					keeps = append(keeps, k)
 				}
 			}
-			keeps = dedupInts(keeps)
+			// 1 <= n/2 <= n-1: duplicates are adjacent.
+			keeps = slices.Compact(keeps)
 		}
 		for _, k := range keeps {
 			all = append(all, Schedule{{Event: i, Keep: k}})
@@ -98,26 +76,5 @@ func buildSchedules(cfg Config, events []EventInfo) []Schedule {
 			all = append(all, Schedule{first, second})
 		}
 	}
-	if cfg.Points > 0 && len(all) > cfg.Points {
-		idx := rng.Perm(len(all))[:cfg.Points]
-		sort.Ints(idx)
-		sampled := make([]Schedule, 0, cfg.Points)
-		for _, i := range idx {
-			sampled = append(sampled, all[i])
-		}
-		all = sampled
-	}
-	return all
-}
-
-func dedupInts(in []int) []int {
-	seen := map[int]bool{}
-	out := in[:0]
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
+	return sample(rng, all, cfg.Points)
 }

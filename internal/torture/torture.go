@@ -17,7 +17,7 @@
 //   - recovery either completes clean or the failure is healed by the
 //     reactor (detector → mitigation), deterministically.
 //
-// Failing schedules are shrunk to a minimal crash-point sequence and
+// Failing schedules are always shrunk to a minimal crash-point sequence and
 // emitted as replayable seeds (testdata/torture holds the regression
 // corpus). Everything is deterministic for a given -seed: trial schedules
 // come from a seeded PRNG, trials share no state, and reports carry no
@@ -28,10 +28,8 @@ package torture
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"arthas"
 )
@@ -110,8 +108,6 @@ type Config struct {
 	MaxVersions  int
 	StepLimit    int64
 	FlightEvents int
-	// Shrink enables minimization of failing schedules (default in Run).
-	Shrink bool
 	// Optimize runs the flush/fence-elimination pass (internal/opt) on the
 	// program under torture, so the invariant sweep exercises the optimized
 	// build. RunEquivalence ignores this flag: it always compares the
@@ -170,15 +166,13 @@ type TrialResult struct {
 
 // Report is the full deterministic output of a run.
 type Report struct {
-	Program  string        `json:"program"`
-	Script   string        `json:"script"`
-	Seed     int64         `json:"seed"`
-	Events   int           `json:"events"`
-	Trials   int           `json:"trials"`
-	Clean    int           `json:"clean"`
-	Healed   int           `json:"healed"`
-	Violated int           `json:"violated"`
-	Results  []TrialResult `json:"results"`
+	Program string `json:"program"`
+	Script  string `json:"script"`
+	Seed    int64  `json:"seed"`
+	Events  int    `json:"events"`
+	Trials  int    `json:"trials"`
+	tally
+	Results []TrialResult `json:"results"`
 	// Shrunk holds minimized failing schedules, ready to store as
 	// regression seeds (testdata/torture).
 	Shrunk []Seed `json:"shrunk,omitempty"`
@@ -201,32 +195,18 @@ type Seed struct {
 }
 
 // Run executes a full torture sweep: enumerate durability events with a
-// baseline run, build schedules, run each as an independent trial, shrink
-// failures.
+// baseline run, build schedules, run each as an independent trial, and
+// shrink any failures to replayable seeds.
 func Run(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	calls, err := ParseScript(cfg.Script)
+	cfg, calls, probe, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var probe *Call
-	if cfg.Probe != "" {
-		pc, err := ParseScript(cfg.Probe)
-		if err != nil {
-			return nil, err
-		}
-		if len(pc) != 1 {
-			return nil, fmt.Errorf("torture: probe must be a single call, got %d", len(pc))
-		}
-		probe = &pc[0]
-	}
-
-	events, err := enumerate(cfg, calls)
+	events, _, err := enumerate(cfg, arthasConfig(cfg), calls)
 	if err != nil {
 		return nil, fmt.Errorf("torture: baseline run: %w", err)
 	}
 	schedules := buildSchedules(cfg, events)
-
 	rep := &Report{
 		Program: cfg.Name,
 		Script:  cfg.Script,
@@ -235,88 +215,31 @@ func Run(cfg Config) (*Report, error) {
 		Trials:  len(schedules),
 		Results: make([]TrialResult, len(schedules)),
 	}
-
-	runOne := func(i int) {
-		res := runTrial(cfg, calls, probe, schedules[i])
-		res.Trial = i
-		rep.Results[i] = res
-	}
-	if cfg.Workers > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, cfg.Workers)
-		for i := range schedules {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				runOne(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range schedules {
-			runOne(i)
-		}
-	}
-
-	for _, res := range rep.Results {
-		switch res.Outcome {
-		case "clean":
-			rep.Clean++
-		case "healed":
-			rep.Healed++
-		default:
-			rep.Violated++
-		}
-	}
-
-	if cfg.Shrink && rep.Violated > 0 {
+	rep.tally = runTrials(len(schedules), cfg.Workers, func(i int) string {
+		rep.Results[i] = runTrial(cfg, calls, probe, schedules[i])
+		rep.Results[i].Trial = i
+		return rep.Results[i].Outcome
+	})
+	if rep.Violated > 0 {
 		rep.Shrunk = shrinkAll(cfg, calls, probe, rep.Results)
 	}
 	return rep, nil
 }
 
 // Replay runs one seed's schedule against the program source and returns
-// its result — the regression path for the golden corpus.
+// its result — the regression path for the golden corpus. Seeds are read
+// from outside the program, so the probe is held to Run's rules.
 func Replay(source string, seed Seed) (*TrialResult, error) {
-	base := Config{
+	cfg, calls, probe, err := prepare(Config{
 		Name:      seed.Program,
 		Source:    source,
 		Script:    seed.Script,
 		RecoverFn: seed.RecoverFn,
 		Probe:     seed.Probe,
-	}
-	cfg := base.withDefaults()
-	calls, err := ParseScript(seed.Script)
+	})
 	if err != nil {
 		return nil, err
 	}
-	var probe *Call
-	if seed.Probe != "" {
-		pc, err := ParseScript(seed.Probe)
-		if err != nil {
-			return nil, err
-		}
-		probe = &pc[0]
-	}
 	res := runTrial(cfg, calls, probe, seed.Schedule)
 	return &res, nil
-}
-
-// sortedViolations returns a deterministic, deduplicated violation list.
-func sortedViolations(vs []string) []string {
-	if len(vs) == 0 {
-		return nil
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, v := range vs {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

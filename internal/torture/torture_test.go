@@ -44,7 +44,6 @@ func TestTortureQuick(t *testing.T) {
 		Seed:      1,
 		Points:    40,
 		Workers:   4,
-		Shrink:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +111,6 @@ func TestTortureDeterminism(t *testing.T) {
 		Seed:      7,
 		Points:    20,
 		Depth:     2,
-		Shrink:    true,
 	}
 	var outs [][]byte
 	for _, workers := range []int{1, 4} {
@@ -157,7 +155,6 @@ func TestTortureFindsBrokenRecovery(t *testing.T) {
 		Script:    "init_; bump",
 		RecoverFn: "value", // deliberately unguarded recovery path
 		Seed:      4,
-		Shrink:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +175,31 @@ func TestTortureFindsBrokenRecovery(t *testing.T) {
 		}
 		if res.Outcome != "violated" {
 			t.Fatalf("shrunk seed %s does not reproduce: %+v", describeSeed(seed), res)
+		}
+	}
+}
+
+// TestProbeMustBeOneCall: every entry point parses the probe the same way.
+// Seeds are read from outside the program, so Replay must refuse a
+// multi-call probe exactly as the sweeps do instead of running its first
+// call.
+func TestProbeMustBeOneCall(t *testing.T) {
+	src := progSource(t, "counter")
+	cfg := Config{Name: "counter", Source: src, Script: "init_; bump", RecoverFn: "recover_", Probe: "value; bump"}
+	seed := Seed{Program: "counter", Script: cfg.Script, RecoverFn: cfg.RecoverFn, Probe: cfg.Probe,
+		Schedule: Schedule{{Event: 0, Keep: 0}}}
+	_, want := Run(cfg)
+	if want == nil {
+		t.Fatal("Run accepted a multi-call probe")
+	}
+	errs := map[string]error{}
+	_, errs["Replay"] = Replay(src, seed)
+	_, errs["RunMedia"] = RunMedia(cfg, "")
+	_, errs["RunRepl"] = RunRepl(cfg)
+	_, errs["RunEquivalence"] = RunEquivalence(cfg)
+	for name, err := range errs {
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: got error %v, want %v", name, err, want)
 		}
 	}
 }

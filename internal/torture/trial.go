@@ -3,67 +3,85 @@ package torture
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"arthas"
 	"arthas/internal/pmem"
 )
 
-// runTrial executes one schedule in a completely fresh deployment and
-// reports the outcome. The trial shares nothing with other trials, so any
-// number of them run concurrently with identical results.
-//
-// The loop mirrors how a real operator would live through the crash: run
-// the workload until the injected power failure latches the pool, discard
-// volatile state, serialize the durable image, reopen it through the REAL
-// open path (open-time allocator recovery, strict integrity check,
-// checkpoint-log and flight parsing), run the recovery function, and
-// re-issue the interrupted operation (at-least-once semantics). Any trap on
-// the way — during recovery or during the re-run — goes through the full
-// detector → reactor healing flow; a failure the reactor cannot heal is an
-// invariant violation, as is any malformed image, pool, or log state.
-func runTrial(cfg Config, calls []Call, probe *Call, sched Schedule) TrialResult {
-	res := TrialResult{Schedule: sched, Outcome: "clean"}
-	var violations []string
-	healed := false
+// trial is one schedule in flight on a completely fresh deployment; it
+// shares nothing with other trials, so any number run concurrently with
+// identical results. run drives the workload the same way under every
+// fault model, mirroring how an operator lives through the fault: a trap
+// with no crash pending goes through the full detector → reactor healing
+// flow; an injected power failure discards volatile state, and the durable
+// image is serialized and reopened through the REAL open path (open-time
+// allocator recovery, strict integrity check, checkpoint-log and flight
+// parsing), recovered, and the interrupted call re-issued (at-least-once
+// semantics). A failure the reactor cannot heal is an invariant violation,
+// as is any malformed image, pool, or log state. The fault model plugs in
+// through arm, afterCall and dirty, then judges the surviving instance
+// with its own oracle.
+type trial struct {
+	cfg   Config
+	acfg  arthas.Config // for the deployment and every reopen
+	calls []Call
+	probe *Call
+	// arm returns the crash hook for workload segment si (power failures
+	// separate segments); nil runs the segment uninjected.
+	arm func(si int) pmem.CrashFunc
+	// afterCall, when set, runs after each completed workload call; a
+	// non-empty violation ends the trial.
+	afterCall func() string
+	// dirty, when set, runs after each reactor heal and crash reopen: both
+	// change durable state behind the pool hooks' back.
+	dirty func()
 
-	inst, err := arthas.New(cfg.Name, cfg.Source, arthasConfig(cfg))
+	inst       *arthas.Instance
+	violations []string
+	healed     bool
+	attempts   int // reactor re-executions
+	scrubs     int // in-process scrub repairs
+}
+
+// deploy builds the trial's fresh instance; false ends the trial.
+func (t *trial) deploy() bool {
+	inst, err := arthas.New(t.cfg.Name, t.cfg.Source, t.acfg)
 	if err != nil {
-		res.Outcome = "violated"
-		res.Violations = []string{"deploy-failed: " + err.Error()}
-		return res
+		t.violations = append(t.violations, "deploy-failed: "+err.Error())
+		return false
 	}
+	t.inst = inst
+	return true
+}
 
+// run issues the workload, surviving every injected power failure, then
+// the optional probe. False means a violation already ended the trial.
+func (t *trial) run() bool {
 	ci := 0 // next workload call (not advanced past an interrupted call)
 	for si := 0; ; si++ {
-		if si < len(sched) {
-			arm(inst, sched[si], &res)
-		} else {
-			inst.Pool.SetCrashFunc(nil)
-		}
-
+		t.inst.Pool.SetCrashFunc(t.arm(si))
 		crashed := false
-		for ci < len(calls) {
-			c := calls[ci]
-			_, trap := inst.Call(c.Fn, c.Args...)
-			if inst.Pool.CrashLatched() {
+		for ci < len(t.calls) {
+			c := t.calls[ci]
+			_, trap := t.inst.Call(c.Fn, c.Args...)
+			if t.inst.Pool.CrashLatched() {
 				crashed = true
 				break
 			}
-			if trap != nil {
-				// A failure with no crash pending: detector + reactor. The
-				// mitigation's re-execution script restarts, recovers, and
-				// re-issues this very call, so on success we advance past it.
-				ok, mrep, v := heal(inst, trap, &c)
-				if mrep != nil {
-					res.MitigationAttempts += mrep.Attempts
-				}
-				if !ok {
-					violations = append(violations, v)
-					return finish(res, violations, healed)
-				}
-				healed = true
+			// A failure with no crash pending: the mitigation's re-execution
+			// script restarts, recovers, and re-issues this very call, so on
+			// success we advance past it.
+			if trap != nil && !t.mitigate(trap, &c) {
+				return false
 			}
 			ci++
+			if t.afterCall != nil {
+				if v := t.afterCall(); v != "" {
+					t.violations = append(t.violations, v)
+					return false
+				}
+			}
 		}
 		if !crashed {
 			break
@@ -71,90 +89,124 @@ func runTrial(cfg Config, calls []Call, probe *Call, sched Schedule) TrialResult
 
 		// Power failure: volatile state dies, the (possibly torn) durable
 		// image is what the next process sees.
-		inst.Pool.SetCrashFunc(nil)
-		inst.Pool.Crash()
-		inst.Pool.ResetCrashLatch()
-
-		next, vs := reopen(cfg, inst)
-		violations = append(violations, vs...)
+		powerFail(t.inst)
+		next := t.reopen()
 		if next == nil {
-			return finish(res, violations, healed)
+			return false
 		}
-		inst = next
-
-		if trap := inst.Restart(); trap != nil {
-			ok, mrep, v := heal(inst, trap, probe)
-			if mrep != nil {
-				res.MitigationAttempts += mrep.Attempts
-			}
-			if !ok {
-				violations = append(violations, v)
-				return finish(res, violations, healed)
-			}
-			healed = true
+		t.inst = next
+		if t.dirty != nil {
+			t.dirty()
 		}
-		violations = append(violations, checkState(cfg, inst)...)
-		if len(violations) > 0 {
-			return finish(res, violations, healed)
+		if trap := t.inst.Restart(); trap != nil && !t.mitigate(trap, t.probe) {
+			return false
+		}
+		t.check(t.inst)
+		if len(t.violations) > 0 {
+			return false
 		}
 	}
-
-	// Workload complete. The optional probe must succeed now, and the final
-	// state must survive one more save/reopen round trip cleanly.
-	if probe != nil {
-		if _, trap := inst.Call(probe.Fn, probe.Args...); trap != nil {
-			ok, mrep, v := heal(inst, trap, probe)
-			if mrep != nil {
-				res.MitigationAttempts += mrep.Attempts
-			}
-			if !ok {
-				violations = append(violations, v)
-				return finish(res, violations, healed)
-			}
-			healed = true
+	if t.probe != nil {
+		if _, trap := t.inst.Call(t.probe.Fn, t.probe.Args...); trap != nil {
+			return t.mitigate(trap, t.probe)
 		}
 	}
-	final, vs := reopen(cfg, inst)
-	violations = append(violations, vs...)
-	if final != nil {
-		violations = append(violations, checkState(cfg, final)...)
-	}
-	return finish(res, violations, healed)
+	return true
 }
 
-// arm installs the counting crash hook for one spec on the current segment.
-func arm(inst *arthas.Instance, spec CrashSpec, res *TrialResult) {
-	count := 0
-	inst.Pool.SetCrashFunc(func(ev pmem.DurEvent) (int, bool) {
-		i := count
-		count++
-		if i != spec.Event {
-			return ev.Words, false
-		}
-		keep := spec.Keep
-		if keep < 0 || keep > ev.Words {
-			keep = ev.Words
-		}
-		res.Crashes = append(res.Crashes,
-			fmt.Sprintf("%s@%#x+%d keep=%d", ev.Kind, ev.Addr, ev.Words, keep))
-		return keep, true
-	})
+// mitigate heals a trap on the live instance and accounts for it; false
+// (with the violation recorded) when the reactor could not.
+func (t *trial) mitigate(trap *arthas.Trap, call *Call) bool {
+	ok, rep, v := heal(t.inst, trap, call)
+	if rep != nil {
+		t.attempts += rep.Attempts
+		t.scrubs += rep.ScrubRepairs
+	}
+	if !ok {
+		t.violations = append(t.violations, v)
+		return false
+	}
+	t.healed = true
+	if t.dirty != nil {
+		t.dirty()
+	}
+	return true
 }
 
-// reopen serializes the instance's durable state and reopens it through the
-// real recovery path. A crash image that cannot be reopened is always a
-// violation: power loss at a durability boundary must never leave the
-// system unreadable.
-func reopen(cfg Config, inst *arthas.Instance) (*arthas.Instance, []string) {
+// reopen serializes the live instance's durable state and reopens it
+// through the real recovery path. A crash image that cannot be reopened is
+// always a violation: power loss at a durability boundary must never leave
+// the system unreadable. Returns nil after recording the violation.
+func (t *trial) reopen() *arthas.Instance {
 	var buf bytes.Buffer
-	if err := inst.SaveImage(&buf); err != nil {
-		return nil, []string{"save-failed: " + err.Error()}
+	if err := t.inst.SaveImage(&buf); err != nil {
+		t.violations = append(t.violations, "save-failed: "+err.Error())
+		return nil
 	}
-	next, err := arthas.OpenImage(inst.Name, cfg.Source, arthasConfig(cfg), &buf)
+	next, err := arthas.OpenImage(t.inst.Name, t.cfg.Source, t.acfg, &buf)
 	if err != nil {
-		return nil, []string{"reopen-failed: " + err.Error()}
+		t.violations = append(t.violations, "reopen-failed: "+err.Error())
+		return nil
 	}
-	return next, nil
+	return next
+}
+
+// check records violations of the post-recovery invariants on inst.
+func (t *trial) check(inst *arthas.Instance) {
+	if rep := inst.Pool.CheckIntegrity(); !rep.OK() {
+		t.violations = append(t.violations, "pool-integrity: "+rep.String())
+	}
+	if rep := inst.Log.Validate(); !rep.OK() {
+		t.violations = append(t.violations, "log-invalid: "+rep.String())
+	}
+	if t.cfg.FlightEvents > 0 && inst.Flight == nil {
+		t.violations = append(t.violations, "flight-lost: recorder missing after reopen")
+	}
+}
+
+// finish returns the trial's outcome — "violated" on any violation,
+// "healed" when the reactor or a scrubber had to step in, else "clean" —
+// and its violations, deduplicated and sorted.
+func (t *trial) finish() (string, []string) {
+	if len(t.violations) > 0 {
+		vs := slices.Clone(t.violations)
+		slices.Sort(vs)
+		return "violated", slices.Compact(vs)
+	}
+	if t.healed {
+		return "healed", nil
+	}
+	return "clean", nil
+}
+
+// runTrial runs one crash schedule: the workload survives each ordered
+// power failure, and the final state must survive one more save/reopen
+// round trip cleanly.
+func runTrial(cfg Config, calls []Call, probe *Call, sched Schedule) TrialResult {
+	res := TrialResult{Schedule: sched}
+	t := &trial{cfg: cfg, acfg: arthasConfig(cfg), calls: calls, probe: probe}
+	t.arm = func(si int) pmem.CrashFunc {
+		if si >= len(sched) {
+			return nil
+		}
+		return crashAt(sched[si], func(c string) { res.Crashes = append(res.Crashes, c) })
+	}
+	if t.deploy() && t.run() {
+		if final := t.reopen(); final != nil {
+			t.check(final)
+		}
+	}
+	res.Outcome, res.Violations = t.finish()
+	res.MitigationAttempts = t.attempts
+	return res
+}
+
+// powerFail completes an injected crash: volatile state dies and the pool
+// accepts durability again for whoever serializes what survived.
+func powerFail(inst *arthas.Instance) {
+	inst.Pool.SetCrashFunc(nil)
+	inst.Pool.Crash()
+	inst.Pool.ResetCrashLatch()
 }
 
 // heal drives the detector → reactor flow for a trap. With a call, the
@@ -179,32 +231,4 @@ func heal(inst *arthas.Instance, trap *arthas.Trap, call *Call) (bool, *arthas.R
 			trap.Kind, rep.Attempts, rep.ModeUsed)
 	}
 	return true, rep, ""
-}
-
-// checkState verifies the post-recovery invariants on a live instance.
-func checkState(cfg Config, inst *arthas.Instance) []string {
-	var out []string
-	if rep := inst.Pool.CheckIntegrity(); !rep.OK() {
-		out = append(out, "pool-integrity: "+rep.String())
-	}
-	if rep := inst.Log.Validate(); !rep.OK() {
-		out = append(out, "log-invalid: "+rep.String())
-	}
-	if cfg.FlightEvents > 0 && inst.Flight == nil {
-		out = append(out, "flight-lost: recorder missing after reopen")
-	}
-	return out
-}
-
-func finish(res TrialResult, violations []string, healed bool) TrialResult {
-	res.Violations = sortedViolations(violations)
-	switch {
-	case len(res.Violations) > 0:
-		res.Outcome = "violated"
-	case healed:
-		res.Outcome = "healed"
-	default:
-		res.Outcome = "clean"
-	}
-	return res
 }
