@@ -183,6 +183,35 @@ func ReadPoolInspect(r io.Reader) (*Pool, error) {
 	return readPool(r, false)
 }
 
+// imageChunkWords bounds one read of the durable image: a default-size
+// pool arrives in a single chunk.
+const imageChunkWords = 1 << 16
+
+// readImage reads the words-long durable image in bounded chunks. The
+// header's word count is unverified until the bytes arrive, so memory grows
+// only with what r actually yields, never with what the header claims.
+func readImage(r io.Reader, words int) ([]uint64, error) {
+	chunk := make([]byte, 8*min(words, imageChunkWords))
+	durable := make([]uint64, 0, min(words, imageChunkWords))
+	for len(durable) < words {
+		n := min(words-len(durable), imageChunkWords)
+		if _, err := io.ReadFull(r, chunk[:8*n]); err != nil {
+			return nil, fmt.Errorf("%w (durable image): %v", ErrTruncatedImage, err)
+		}
+		if len(durable)+n > cap(durable) {
+			// Double, but never past the claimed size: the image ends
+			// up exactly words long.
+			grown := make([]uint64, len(durable), min(words, 2*cap(durable)))
+			copy(grown, durable)
+			durable = grown
+		}
+		for i := 0; i < n; i++ {
+			durable = append(durable, binary.LittleEndian.Uint64(chunk[8*i:]))
+		}
+	}
+	return durable, nil
+}
+
 func readPool(r io.Reader, strict bool) (*Pool, error) {
 	get := func() (uint64, error) {
 		var buf [8]byte
@@ -213,20 +242,17 @@ func readPool(r io.Reader, strict bool) (*Pool, error) {
 	if words < 64 || words > 1<<32 {
 		return nil, fmt.Errorf("%w: implausible pool size %d", ErrCorruptImage, words)
 	}
+	durable, err := readImage(r, words)
+	if err != nil {
+		return nil, err
+	}
 	p := &Pool{
 		words:       words,
 		cur:         make([]uint64, words),
-		durable:     make([]uint64, words),
+		durable:     durable,
 		dirty:       map[uint64]struct{}{},
 		sink:        obs.Nop(),
 		fileVersion: int(version),
-	}
-	buf := make([]byte, 8*words)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("%w (durable image): %v", ErrTruncatedImage, err)
-	}
-	for i := range p.durable {
-		p.durable[i] = binary.LittleEndian.Uint64(buf[8*i:])
 	}
 	copy(p.cur, p.durable)
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"arthas/internal/obs"
@@ -72,6 +73,26 @@ func TestPoolFileRejectsTruncated(t *testing.T) {
 	data := buf.Bytes()
 	if _, err := ReadPool(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Fatal("truncated file accepted")
+	}
+}
+
+// TestPoolFileOversizedHeaderIsTruncated: a bare header claiming the
+// largest accepted pool (1<<32 words, 32 GiB) must fail as truncated
+// without allocating for the claim — memory follows the bytes that arrive.
+func TestPoolFileOversizedHeaderIsTruncated(t *testing.T) {
+	var hdr bytes.Buffer
+	for _, v := range []uint64{fileMagic, fileVersion, 1 << 32} {
+		binary.Write(&hdr, binary.LittleEndian, v)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadPool(&hdr)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncatedImage) {
+		t.Fatalf("got %v, want ErrTruncatedImage", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("reading an empty image allocated %d MiB", grew>>20)
 	}
 }
 
