@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"arthas/internal/obs"
@@ -73,58 +74,14 @@ func NewZipf(n int, theta float64, seed uint64) *Zipf {
 	z := &Zipf{cdf: make([]float64, n), rng: newRNG(seed)}
 	sum := 0.0
 	for i := 1; i <= n; i++ {
-		sum += 1 / pow(float64(i), theta)
+		sum += 1 / math.Pow(float64(i), theta)
 	}
 	acc := 0.0
 	for i := 1; i <= n; i++ {
-		acc += 1 / pow(float64(i), theta) / sum
+		acc += 1 / math.Pow(float64(i), theta) / sum
 		z.cdf[i-1] = acc
 	}
 	return z
-}
-
-// pow is a small positive-base power via exp/log-free iteration: it handles
-// the theta in (0, ~2] range used here with binary exponentiation over the
-// integer part and a sqrt-based fraction approximation.
-func pow(base, exp float64) float64 {
-	if base <= 0 {
-		return 1
-	}
-	// Integer part.
-	result := 1.0
-	b := base
-	n := int(exp)
-	for i := 0; i < n; i++ {
-		result *= b
-	}
-	frac := exp - float64(n)
-	if frac > 1e-9 {
-		// Approximate base^frac by repeated square roots (8 bits).
-		r := base
-		acc := 1.0
-		f := frac
-		for i := 0; i < 20 && f > 1e-9; i++ {
-			r = sqrt(r)
-			f *= 2
-			if f >= 1 {
-				f -= 1
-				acc *= r
-			}
-		}
-		result *= acc
-	}
-	return result
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	g := x
-	for i := 0; i < 40; i++ {
-		g = (g + x/g) / 2
-	}
-	return g
 }
 
 // Next draws a key in [1, n].

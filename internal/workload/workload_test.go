@@ -2,7 +2,6 @@ package workload
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -99,19 +98,6 @@ func TestZipfUniformWhenThetaZero(t *testing.T) {
 		share := float64(counts[k]) / float64(n)
 		if share < 0.003 || share > 0.03 {
 			t.Fatalf("key %d share = %.4f, want ~0.01", k, share)
-		}
-	}
-}
-
-func TestPowApprox(t *testing.T) {
-	cases := []struct{ base, exp float64 }{
-		{2, 1}, {2, 2}, {10, 0.5}, {3, 0.99}, {7, 1.5}, {1.5, 0.25},
-	}
-	for _, c := range cases {
-		got := pow(c.base, c.exp)
-		want := math.Pow(c.base, c.exp)
-		if math.Abs(got-want)/want > 0.02 {
-			t.Errorf("pow(%v, %v) = %v, want %v", c.base, c.exp, got, want)
 		}
 	}
 }
